@@ -8,9 +8,8 @@ Single blocks go through the scalar byte-oriented rounds.  Bulk CTR mode
 is vectorized with numpy: the classic 32-bit encryption T-tables (each
 entry fuses SubBytes, ShiftRows, and MixColumns for one byte) are applied
 to *all* counter blocks of a message at once, which lifts pure-Python
-AES-CTR from ~0.2 MB/s to tens of MB/s.  The scalar CTR loop is kept as
-:meth:`AES.encrypt_ctr_reference` and the test suite asserts the two
-paths are byte-identical.
+AES-CTR from ~0.2 MB/s to tens of MB/s.  The test suite asserts it is
+byte-identical to a block-at-a-time CTR loop (``tests/crypto/oracles.py``).
 
 Not constant-time; simulation use only.
 """
@@ -290,19 +289,3 @@ class AES:
             return b""
         keystream = self.keystream_ctr(nonce, -(-n // 16), initial_counter)[:n]
         return (np.frombuffer(data, dtype=np.uint8) ^ keystream).tobytes()
-
-    def encrypt_ctr_reference(
-        self, nonce: bytes, data: bytes, initial_counter: int = 1
-    ) -> bytes:
-        """Block-at-a-time CTR; the oracle the vectorized path is tested against."""
-        if len(nonce) != 12:
-            raise ValueError(f"CTR nonce must be 12 bytes, got {len(nonce)}")
-        out = bytearray()
-        counter = initial_counter
-        for offset in range(0, len(data), 16):
-            block = nonce + counter.to_bytes(4, "big")
-            keystream = self.encrypt_block(block)
-            chunk = data[offset: offset + 16]
-            out.extend(x ^ y for x, y in zip(chunk, keystream))
-            counter = (counter + 1) & 0xFFFFFFFF
-        return bytes(out)

@@ -4,13 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.chacha import (
+    _SCALAR_MAX_BLOCKS,
     ChaCha20Poly1305,
+    _lanes_keystream,
+    _scalar_blocks,
     chacha20_keystream,
     chacha20_xor,
     poly1305_mac,
-    poly1305_mac_reference,
 )
 from repro.errors import IntegrityError
+from tests.crypto.oracles import (
+    chacha20_keystream_reference,
+    chacha20_poly1305_seal_reference,
+    poly1305_mac_reference,
+)
 
 RFC_KEY = bytes(range(32))
 
@@ -100,11 +107,86 @@ def test_key_and_nonce_validation():
         poly1305_mac(bytes(31), b"x")
 
 
+def test_counter_range_enforced():
+    last = 2**32 - 1
+    n = (_SCALAR_MAX_BLOCKS + 1) * 64
+    # The final blocks of the counter space are still usable, on either path.
+    for counter, n_bytes in ((last, 64), (2**32 - n // 64, n)):
+        assert chacha20_keystream(RFC_KEY, bytes(12), counter, n_bytes) == (
+            chacha20_keystream_reference(RFC_KEY, bytes(12), counter, n_bytes)
+        )
+    # One byte past the end (the 32-bit counter would wrap and reuse
+    # keystream), a negative counter, a negative length.
+    for counter, n_bytes in (
+        (last, 65), (2**32 - n // 64, n + 1), (2**32, 1), (-1, 64), (0, -1)
+    ):
+        with pytest.raises(ValueError):
+            chacha20_keystream(RFC_KEY, bytes(12), counter, n_bytes)
+    with pytest.raises(ValueError):
+        chacha20_xor(RFC_KEY, bytes(12), last, bytes(65))
+
+
+# ---------------------------------------------------------------------------
+# Scalar and 4-lane keystream paths vs the per-row reference
+# ---------------------------------------------------------------------------
+
+KEY = bytes((i * 29 + 3) % 256 for i in range(32))
+NONCE = bytes(range(100, 112))
+
+
+@pytest.mark.parametrize("n_blocks", range(1, _SCALAR_MAX_BLOCKS + 4))
+@pytest.mark.parametrize("counter", [0, 1, 2**31, 2**32 - _SCALAR_MAX_BLOCKS - 3])
+def test_keystream_paths_match_reference(n_blocks, counter):
+    expected = chacha20_keystream_reference(KEY, NONCE, counter, n_blocks * 64)
+    assert _scalar_blocks(KEY, NONCE, counter, n_blocks) == expected
+    assert _lanes_keystream(KEY, NONCE, counter, n_blocks) == expected
+    assert chacha20_keystream(KEY, NONCE, counter, n_blocks * 64) == expected
+
+
+@pytest.mark.parametrize("n_blocks", [64, 545])
+def test_long_keystream_matches_reference(n_blocks):
+    counter = 2**32 - n_blocks
+    assert _lanes_keystream(KEY, NONCE, counter, n_blocks) == (
+        chacha20_keystream_reference(KEY, NONCE, counter, n_blocks * 64)
+    )
+
+
+@settings(max_examples=40)
+@given(
+    st.binary(min_size=32, max_size=32),
+    st.binary(min_size=12, max_size=12),
+    st.integers(min_value=0, max_value=(_SCALAR_MAX_BLOCKS + 3) * 64),
+    st.integers(min_value=0, max_value=2**32 - _SCALAR_MAX_BLOCKS - 3),
+)
+def test_keystream_equivalence_property(key, nonce, n_bytes, counter):
+    assert chacha20_keystream(key, nonce, counter, n_bytes) == (
+        chacha20_keystream_reference(key, nonce, counter, n_bytes)
+    )
+
+
+@pytest.mark.parametrize(
+    "length",
+    # 64 + length bytes of keystream: the last two cross the scalar/lane
+    # threshold.
+    [0, 1, 31, 32, 63, 64, 65]
+    + [(_SCALAR_MAX_BLOCKS - 1) * 64, (_SCALAR_MAX_BLOCKS - 1) * 64 + 1],
+)
+def test_aead_matches_two_stream_reference(length):
+    # The AEAD takes its one-time key and data stream from one keystream
+    # call; the split at byte 64 must match RFC 8439's two calls.
+    plaintext = bytes((i * 7 + 1) % 256 for i in range(length))
+    aead = ChaCha20Poly1305(KEY)
+    sealed = aead.encrypt(NONCE, plaintext, aad=b"hdr")
+    assert sealed == chacha20_poly1305_seal_reference(KEY, NONCE, plaintext, b"hdr")
+    assert aead.decrypt(NONCE, sealed, aad=b"hdr") == plaintext
+
+
 @settings(max_examples=25)
 @given(st.binary(min_size=0, max_size=5000), st.binary(min_size=32, max_size=32))
 def test_roundtrip_property(plaintext, key):
     aead = ChaCha20Poly1305(key)
     sealed = aead.encrypt(b"\x01" * 12, plaintext)
+    assert sealed == chacha20_poly1305_seal_reference(key, b"\x01" * 12, plaintext)
     assert aead.decrypt(b"\x01" * 12, sealed) == plaintext
 
 

@@ -3,8 +3,23 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from repro.crypto.ed25519 import (
+    _BASE,
+    _IDENTITY,
+    _L,
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+    _base_mult,
+    _compress,
+    _point_add,
+    _point_double,
+    _points_equal,
+    _scalar_mult,
+    _secret_expand,
+    _sha512,
+)
 from repro.errors import IntegrityError
+from tests.crypto.oracles import scalar_mult_reference
 
 
 def test_rfc8032_test_1_empty_message():
@@ -84,3 +99,56 @@ def test_public_key_validation():
 def test_sign_verify_property(key_bytes, message):
     sk = Ed25519PrivateKey(key_bytes)
     sk.public_key().verify(sk.sign(message), message)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-base table and windowed multiply vs double-and-add
+# ---------------------------------------------------------------------------
+
+_EDGE_SCALARS = [0, 1, 2, 15, 16, 17, _L - 1, _L, _L + 1, 2**255 - 1, 2**256 - 1]
+_A = scalar_mult_reference(0x1234567890ABCDEF, _BASE)
+
+
+@pytest.mark.parametrize("scalar", _EDGE_SCALARS)
+def test_base_table_matches_reference(scalar):
+    assert _compress(_base_mult(scalar)) == (
+        _compress(scalar_mult_reference(scalar, _BASE))
+    )
+
+
+@pytest.mark.parametrize("scalar", _EDGE_SCALARS)
+def test_windowed_mult_matches_reference(scalar):
+    assert _compress(_scalar_mult(scalar, _A)) == (
+        _compress(scalar_mult_reference(scalar, _A))
+    )
+
+
+def test_point_double_matches_addition():
+    p = _A
+    for _ in range(5):
+        assert _points_equal(_point_double(p), _point_add(p, p))
+        p = _point_add(p, _BASE)
+    assert _points_equal(_point_double(_IDENTITY), _IDENTITY)
+
+
+@settings(max_examples=10)
+@given(st.integers(min_value=0, max_value=2**256 - 1))
+def test_scalar_mult_equivalence_property(scalar):
+    expected = _compress(scalar_mult_reference(scalar, _BASE))
+    assert _compress(_base_mult(scalar)) == expected
+    assert _compress(_scalar_mult(scalar, _BASE)) == expected
+
+
+@settings(max_examples=10)
+@given(st.binary(min_size=32, max_size=32), st.binary(min_size=0, max_size=100))
+def test_signature_matches_reference(key_bytes, message):
+    # RFC 8032 §5.1.6 signing with every multiply done by double-and-add.
+    sk = Ed25519PrivateKey(key_bytes)
+    a, prefix = _secret_expand(key_bytes)
+    public = _compress(scalar_mult_reference(a, _BASE))
+    r = int.from_bytes(_sha512(prefix, message), "little") % _L
+    r_bytes = _compress(scalar_mult_reference(r, _BASE))
+    k = int.from_bytes(_sha512(r_bytes, public, message), "little") % _L
+    expected = r_bytes + ((r + k * a) % _L).to_bytes(32, "little")
+    assert sk.public_key().public_bytes() == public
+    assert sk.sign(message) == expected

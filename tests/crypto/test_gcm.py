@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.crypto.gcm import AesGcm
 from repro.errors import IntegrityError
+from tests.crypto.oracles import ghash_reference
 
 
 def test_nist_empty_plaintext_vector():
@@ -118,13 +119,13 @@ def test_fast_ghash_matches_reference(ct_len, aad_len):
     gcm = AesGcm(bytes(range(16)))
     ciphertext = bytes((i * 31 + 7) % 256 for i in range(ct_len))
     aad = bytes((i * 13 + 5) % 256 for i in range(aad_len))
-    assert gcm._ghash(aad, ciphertext) == gcm._ghash_reference(aad, ciphertext)
+    assert gcm._ghash(aad, ciphertext) == ghash_reference(gcm, aad, ciphertext)
 
 
 @given(st.binary(min_size=0, max_size=600), st.binary(min_size=16, max_size=16))
 def test_fast_ghash_equivalence_property(data, key):
     gcm = AesGcm(key)
-    assert gcm._ghash(b"", data) == gcm._ghash_reference(b"", data)
+    assert gcm._ghash(b"", data) == ghash_reference(gcm, b"", data)
     # Force the grouped path regardless of the size threshold.
     assert gcm._ghash_update_grouped(0, data) == gcm._ghash_update_serial(0, data)
 
